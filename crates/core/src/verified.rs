@@ -21,15 +21,19 @@
 //!    whole ladder, are zeroed and reported in the [`LaneReport`] instead
 //!    of carrying NaN into downstream stages.
 //!
-//! Healthy lanes are **bit-identical** to the unverified path: the batched
-//! kernel runs first and verification never rewrites a lane that passes.
+//! All three entry points run one pipeline over interleaved panels: pack
+//! (host entry points), primary solve, one chunk-parallel scan for input
+//! finiteness, ABFT discrepancy and residual, ABFT retries, a serial
+//! verdict loop that touches only probed, tripped, failing or non-finite
+//! lanes, and unpack. Healthy lanes are **bit-identical** to the
+//! unverified path, and verdict residuals to the scalar checks.
 
 use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
 use crate::builder::{solve_one_lane, BuilderVersion, SplineBuilder};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::assemble_interpolation_matrix;
 use pp_iterative::solver::{norm2, residual_into};
@@ -38,7 +42,7 @@ use pp_portable::instrument::{
     counter, fault_dump, trace_instant, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
 use pp_portable::{
-    Budget, ExecSpace, InterleavedMatrix, Layout, Matrix, ResidentBatch, StridedMut, LANE_WIDTH,
+    Budget, ExecSpace, InterleavedMatrix, Matrix, ResidentBatch, StridedMut, LANE_WIDTH,
 };
 use pp_sparse::Csr;
 
@@ -613,7 +617,7 @@ impl VerifiedBuilder {
     /// downstream stages; consult the returned [`LaneReport`] to find and
     /// re-source them.
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<LaneReport> {
-        let (report, _) = self.solve_impl(exec, b, None)?;
+        let (report, _) = self.solve_host(exec, b, None)?;
         Ok(report)
     }
 
@@ -621,6 +625,8 @@ impl VerifiedBuilder {
     /// pipeline, but `budget` is polled between stages and the solve
     /// degrades *gracefully* instead of overrunning the deadline:
     ///
+    /// * a budget already exhausted when the solve finishes skips the
+    ///   residual pass; the input scan and the ABFT screen still run;
     /// * once the budget is exhausted, iterative refinement is skipped for
     ///   lanes that fail the residual check;
     /// * the fallback ladder stops escalating (rungs not yet attempted are
@@ -641,111 +647,144 @@ impl VerifiedBuilder {
         b: &mut Matrix,
         budget: &Budget,
     ) -> Result<DegradedReport> {
-        let (lanes, degradations) = self.solve_impl(exec, b, Some(budget))?;
+        let (lanes, degradations) = self.solve_host(exec, b, Some(budget))?;
         Ok(DegradedReport {
             lanes,
             degradations,
         })
     }
 
-    fn solve_impl<E: ExecSpace>(
+    /// The host entry points: pack, solve, verify on the panels, unpack.
+    /// `b` stays untouched until the unpack and is the pristine
+    /// right-hand side every check and retry reads.
+    fn solve_host<E: ExecSpace>(
         &self,
         exec: &E,
         b: &mut Matrix,
         budget: Option<&Budget>,
     ) -> Result<(LaneReport, Vec<Degradation>)> {
-        let n = self.builder.space().num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
-        let rhs = b.clone();
-        // The ordinary batched solve first: lanes that verify keep these
-        // bits. Poisoned lanes produce garbage here and are repaired or
-        // quarantined below.
-        self.builder.solve_in_place(exec, b)?;
+        let mut x = if self.builder.version() == BuilderVersion::Interleaved {
+            let mut x = ResidentBatch::from_panels(InterleavedMatrix::pack_with(exec, b));
+            self.builder.solve_resident(exec, &mut x)?;
+            x
+        } else {
+            // The Table III host kernels solve a host copy, packed after.
+            let mut solved = b.clone();
+            self.builder.solve_in_place(exec, &mut solved)?;
+            ResidentBatch::from_panels(InterleavedMatrix::pack_with(exec, &solved))
+        };
+        let out = self.verify_panels(exec, &mut x, Pristine::Host(b), budget);
+        x.panels().unpack_into_with(exec, b)?;
+        Ok(out)
+    }
 
+    /// Resident variant of [`VerifiedBuilder::solve_in_place`]: the same
+    /// pipeline without pack and unpack. The pristine right-hand side is
+    /// a panel copy taken before the solve, and every mutation bumps the
+    /// batch's generation tag, so a cached host mirror can never
+    /// resurrect stale data.
+    ///
+    /// With the wrapped builder on [`BuilderVersion::Interleaved`],
+    /// results — healthy lanes *and* verdict residuals — are
+    /// bit-identical to [`VerifiedBuilder::solve_in_place`] on the
+    /// equivalent host matrix. Other versions differ only in the primary
+    /// kernel: this entry point always runs the interleaved one.
+    pub fn solve_resident<E: ExecSpace>(
+        &self,
+        exec: &E,
+        b: &mut ResidentBatch,
+    ) -> Result<LaneReport> {
+        let rhs = ResidentBatch::from_panels(b.panels().clone());
+        self.builder.solve_resident(exec, b)?;
+        let (report, _) = self.verify_panels(exec, b, Pristine::Panels(&rhs), None);
+        Ok(report)
+    }
+
+    /// Verify solved panels `x`: SDC probe strikes (ABFT on), the
+    /// chunk-parallel [`VerifiedBuilder::scan`], ABFT retries, then a
+    /// serial verdict loop that touches lane data only for probed,
+    /// tripped, failing or non-finite lanes.
+    fn verify_panels<E: ExecSpace>(
+        &self,
+        exec: &E,
+        x: &mut ResidentBatch,
+        rhs: Pristine<'_>,
+        budget: Option<&Budget>,
+    ) -> (LaneReport, Vec<Degradation>) {
+        let out_of_time = || budget.is_some_and(|bud| bud.exhausted());
         let stride = self.config.sample_stride.max(1);
-        let mut verdicts = Vec::with_capacity(b.ncols());
+        let mut verdicts = Vec::with_capacity(x.ncols());
         let mut degrade = DegradeLog::default();
         let verify_span = Span::enter(PhaseId::Verify);
-        // ABFT screen before per-lane verification: O(n) per lane over the
-        // whole batch, so corruption is caught even in lanes the sampling
-        // stride would skip.
+        if self.config.abft {
+            for lane in (0..x.ncols()).filter(|l| self.config.sdc_probe_lanes.contains(l)) {
+                let mut xl = x.lane_to_vec(lane);
+                strike(&mut xl);
+                x.write_lane(lane, &xl);
+            }
+        }
+        let scan = self.scan(exec, x.panels(), &rhs, residual_pass(budget));
         let sdc = if self.config.abft {
-            self.abft_screen(b, &rhs)
+            self.abft_retries(x, &rhs, &scan)
         } else {
             Vec::new()
         };
-        for lane in 0..b.ncols() {
+        for lane in 0..x.ncols() {
             let sdc_state = sdc.get(lane).copied().unwrap_or(SdcState::Clean);
             let probed = self.config.probe_lanes.contains(&lane);
             // A lane the checksum flagged is always fully verified.
             let selected = probed || lane % stride == 0 || !matches!(sdc_state, SdcState::Clean);
-            let out_of_time = budget.is_some_and(|bud| bud.exhausted());
-            if selected && out_of_time && degrade.sampling_cut.is_none() {
-                degrade.sampling_cut = Some((lane, 0));
-            }
-            if !selected || out_of_time {
-                if selected {
-                    if let Some((_, skipped)) = degrade.sampling_cut.as_mut() {
-                        *skipped += 1;
-                    }
-                    // The input scan is O(n) and guards the no-NaN
-                    // promise; it runs even when verification cannot.
-                    let b_lane = rhs.col(lane).to_vec();
-                    if let Some(index) = b_lane.iter().position(|v| !v.is_finite()) {
-                        zero_lane(b, lane);
-                        trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
-                        trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                        verdicts.push(LaneVerdict::Quarantined {
-                            reason: QuarantineReason::NonFiniteInput { index },
-                        });
-                        continue;
-                    }
-                    match sdc_state {
-                        SdcState::Tripped { discrepancy } => {
-                            // Budget exhaustion must not let a lane with a
-                            // tripped checksum through unverified.
-                            zero_lane(b, lane);
-                            sdc_metrics().uncorrected.inc();
-                            trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                            verdicts.push(LaneVerdict::Quarantined {
-                                reason: QuarantineReason::SdcDetected { discrepancy },
-                            });
-                            continue;
-                        }
-                        SdcState::Corrected { discrepancy } => {
-                            // The retry already happened in the screen; one
-                            // residual evaluation seals the verdict.
-                            sdc_metrics().corrected.inc();
-                            let residual = self.relative_residual(&b.col(lane).to_vec(), &b_lane);
-                            verdicts.push(LaneVerdict::SdcCorrected {
-                                discrepancy,
-                                residual,
-                            });
-                            continue;
-                        }
-                        SdcState::Clean => {}
-                    }
-                }
+            if !selected {
                 verdicts.push(LaneVerdict::Unsampled);
                 continue;
             }
-            let b_lane = rhs.col(lane).to_vec();
-            if let Some(index) = b_lane.iter().position(|v| !v.is_finite()) {
-                zero_lane(b, lane);
-                trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
-                trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                verdicts.push(LaneVerdict::Quarantined {
-                    reason: QuarantineReason::NonFiniteInput { index },
-                });
-                continue;
+            let out_of_time = out_of_time();
+            if out_of_time {
+                degrade.sampling_cut.get_or_insert((lane, 0)).1 += 1;
             }
-            let verdict = self.verify_lane(b, lane, &b_lane, probed, budget, &mut degrade);
-            let verdict = fold_sdc_verdict(sdc_state, verdict);
+            let rr = match sdc_state {
+                // The retry rewrote the lane after the scan.
+                SdcState::Corrected { .. } => {
+                    self.relative_residual(&x.lane_to_vec(lane), &rhs.lane(lane))
+                }
+                _ => scan.get(SCAN_RESIDUAL, lane),
+            };
+            let verdict = if scan.get(SCAN_FINITE, lane) == 0.0 {
+                // The input scan guards the no-NaN promise; it runs even
+                // when verification cannot.
+                let index = rhs.lane(lane).iter().position(|v| !v.is_finite());
+                trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
+                LaneVerdict::Quarantined {
+                    reason: QuarantineReason::NonFiniteInput {
+                        index: index.expect("the scan saw a non-finite input"),
+                    },
+                }
+            } else if out_of_time {
+                // No time to verify: a tripped checksum never passes, a
+                // retried lane keeps the residual measured above.
+                match sdc_state {
+                    SdcState::Tripped { discrepancy } => {
+                        sdc_metrics().uncorrected.inc();
+                        LaneVerdict::Quarantined {
+                            reason: QuarantineReason::SdcDetected { discrepancy },
+                        }
+                    }
+                    SdcState::Corrected { .. } => {
+                        fold_sdc_verdict(sdc_state, LaneVerdict::Verified { residual: rr })
+                    }
+                    SdcState::Clean => LaneVerdict::Unsampled,
+                }
+            } else if !probed && rr.is_finite() && rr <= self.config.residual_tol {
+                // Healthy fast path: the lane is never extracted.
+                fold_sdc_verdict(sdc_state, LaneVerdict::Verified { residual: rr })
+            } else {
+                let mut xl = x.lane_to_vec(lane);
+                let b_lane = rhs.lane(lane);
+                let verdict =
+                    self.repair_lane(&mut xl, lane, &b_lane, rr, probed, budget, &mut degrade);
+                x.write_lane(lane, &xl);
+                fold_sdc_verdict(sdc_state, verdict)
+            };
             match &verdict {
                 LaneVerdict::Refined { .. } => {
                     trace_instant_lane(InstantKind::LaneRefined, lane as u32);
@@ -754,6 +793,7 @@ impl VerifiedBuilder {
                     trace_instant_lane(InstantKind::LaneRecovered, lane as u32);
                 }
                 LaneVerdict::Quarantined { .. } => {
+                    x.zero_lane(lane);
                     trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
                 }
                 LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => {}
@@ -777,225 +817,114 @@ impl VerifiedBuilder {
                 d
             });
         }
-        Ok((report, degradations))
+        (report, degradations)
     }
 
-    /// Resident variant of [`VerifiedBuilder::solve_in_place`]: the batch
-    /// stays packed in its interleaved panels across the solve, the ABFT
-    /// screen, and residual sampling — all three read the panels natively,
-    /// with scalar lane extraction only for lanes that need repair
-    /// (probed, tripped, or above tolerance) and for quarantine zeroing.
-    /// Zero pack/unpack transposes on the healthy path.
-    ///
-    /// Every mutation (primary solve, ABFT retry write-back, refinement,
-    /// quarantine zeroing) bumps the batch's generation tag, so a cached
-    /// host mirror taken before the solve can never resurrect stale data.
-    ///
-    /// With the wrapped builder on [`BuilderVersion::Interleaved`],
-    /// results — healthy lanes *and* verdict residuals — are
-    /// bit-identical to [`VerifiedBuilder::solve_in_place`] on the
-    /// equivalent host matrix: the per-lane arithmetic of the wide
-    /// residual and checksum accumulators is the same expressions in the
-    /// same order as the scalar ones.
-    pub fn solve_resident<E: ExecSpace>(
+    /// The pipeline's one data pass, chunk-parallel through `exec`: per
+    /// lane, rows [`SCAN_FINITE`] (pristine input finite), [`SCAN_ABFT`]
+    /// (relative checksum discrepancy, ABFT on) and [`SCAN_RESIDUAL`]
+    /// (relative residual, with `residuals`). Each lane's sums are the
+    /// expressions of [`VerifiedBuilder::abft_check`] and
+    /// [`VerifiedBuilder::relative_residual`] in the same order, so the
+    /// values are bit-identical to the scalar ones.
+    fn scan<E: ExecSpace>(
         &self,
         exec: &E,
-        b: &mut ResidentBatch,
-    ) -> Result<LaneReport> {
-        let n = self.builder.space().num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
-        // Pristine right-hand sides, kept in panel form: a straight copy
-        // of the packed storage, not a transpose.
-        let rhs = b.panels().clone();
-        self.builder.solve_resident(exec, b)?;
-
-        let stride = self.config.sample_stride.max(1);
-        let mut verdicts = Vec::with_capacity(b.ncols());
-        let mut degrade = DegradeLog::default();
-        let verify_span = Span::enter(PhaseId::Verify);
-        let sdc = if self.config.abft {
-            self.abft_screen_resident(b, &rhs)
-        } else {
-            Vec::new()
-        };
-        // Residual sampling, panel-native: one pass per chunk evaluates
-        // every live lane's relative residual (after the screen, so
-        // corrected lanes are measured on their healed values).
-        let residuals = self.panel_residuals(b.panels(), &rhs);
-        for lane in 0..b.ncols() {
-            let sdc_state = sdc.get(lane).copied().unwrap_or(SdcState::Clean);
-            let probed = self.config.probe_lanes.contains(&lane);
-            let selected = probed || lane % stride == 0 || !matches!(sdc_state, SdcState::Clean);
-            if !selected {
-                verdicts.push(LaneVerdict::Unsampled);
-                continue;
-            }
-            if let Some(index) = (0..n).position(|i| !rhs.get(i, lane).is_finite()) {
-                b.zero_lane(lane);
-                trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
-                trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                verdicts.push(LaneVerdict::Quarantined {
-                    reason: QuarantineReason::NonFiniteInput { index },
-                });
-                continue;
-            }
-            let rr = residuals[lane];
-            let verdict = if !probed && rr.is_finite() && rr <= self.config.residual_tol {
-                // Healthy fast path: the wide residual seals the verdict
-                // without extracting the lane — its bits stay untouched.
-                LaneVerdict::Verified { residual: rr }
-            } else {
-                // Repair path: scalar lane extraction, then the shared
-                // refine/ladder/quarantine machinery on a one-lane view.
-                let b_lane = lane_from_panels(&rhs, lane);
-                let mut tmp = Matrix::from_vec(n, 1, Layout::Left, b.lane_to_vec(lane))
-                    .expect("lane view shape");
-                let verdict = self.verify_lane(&mut tmp, 0, &b_lane, probed, None, &mut degrade);
-                if !matches!(
-                    verdict,
-                    LaneVerdict::Verified { .. } | LaneVerdict::Unsampled
-                ) {
-                    // The lane view was rewritten (refined, recovered, or
-                    // zeroed): scatter it back, bumping the generation.
-                    b.write_lane(lane, tmp.as_slice());
-                }
-                verdict
+        x: &InterleavedMatrix,
+        rhs: &Pristine<'_>,
+        residuals: bool,
+    ) -> InterleavedMatrix {
+        const W: usize = LANE_WIDTH;
+        let abft = self.config.abft;
+        let mut scan = InterleavedMatrix::zeros(SCAN_ROWS, x.ncols());
+        scan.for_each_chunk_mut(exec, |c, lanes, out| {
+            let mut buf = Vec::new();
+            let (bc, xc) = (rhs.chunk(c, &mut buf), x.chunk(c));
+            let row = |p: &'_ [f64], i: usize| -> [f64; W] {
+                p[i * W..i * W + W].try_into().expect("panel row")
             };
-            let verdict = fold_sdc_verdict(sdc_state, verdict);
-            match &verdict {
-                LaneVerdict::Refined { .. } => {
-                    trace_instant_lane(InstantKind::LaneRefined, lane as u32);
-                }
-                LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
-                    trace_instant_lane(InstantKind::LaneRecovered, lane as u32);
-                }
-                LaneVerdict::Quarantined { .. } => {
-                    trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                }
-                LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => {}
-            }
-            verdicts.push(verdict);
-        }
-        drop(verify_span);
-        let report = LaneReport { verdicts };
-        publish_verify_metrics(&report);
-        emit_batch_faults(&sdc, &report);
-        Ok(report)
-    }
-
-    /// Per-lane relative residuals `‖b − Ax‖₂/‖b‖₂` of the whole batch,
-    /// read panel-natively: for each chunk, one pass over the CSR matrix
-    /// accumulates all live lanes at once. Each lane's accumulation is
-    /// the same expressions in the same order as
-    /// [`VerifiedBuilder::relative_residual`], so the values are
-    /// bit-identical to the scalar path.
-    fn panel_residuals(&self, x: &InterleavedMatrix, rhs: &InterleavedMatrix) -> Vec<f64> {
-        let n = x.nrows();
-        let mut out = vec![0.0; x.ncols()];
-        for c in 0..x.num_chunks() {
-            let lanes = x.chunk_lanes(c);
-            let xc = x.chunk(c);
-            let bc = rhs.chunk(c);
-            let mut acc_r = [0.0f64; LANE_WIDTH];
-            let mut acc_b = [0.0f64; LANE_WIDTH];
-            for i in 0..n {
-                let mut s = [0.0f64; LANE_WIDTH];
-                for (col, v) in self.matrix.row(i) {
-                    let xr = &xc[col * LANE_WIDTH..col * LANE_WIDTH + LANE_WIDTH];
-                    for l in 0..LANE_WIDTH {
-                        s[l] += v * xr[l];
-                    }
-                }
-                let br = &bc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
-                for l in 0..LANE_WIDTH {
-                    let r = br[l] - s[l];
-                    acc_r[l] += r * r;
-                    acc_b[l] += br[l] * br[l];
-                }
-            }
-            for l in 0..lanes {
-                let nr = acc_r[l].sqrt();
-                let nb = acc_b[l].sqrt();
-                out[c * LANE_WIDTH + l] = if nb > 0.0 { nr / nb } else { nr };
-            }
-        }
-        out
-    }
-
-    /// Panel-native ABFT screen: evaluates the checksum identity for all
-    /// live lanes of each chunk in one pass (per-lane arithmetic
-    /// identical to [`VerifiedBuilder::abft_check`]), then handles probe
-    /// strikes and tripped-lane retries through scalar lane extraction.
-    fn abft_screen_resident(
-        &self,
-        b: &mut ResidentBatch,
-        rhs: &InterleavedMatrix,
-    ) -> Vec<SdcState> {
-        let n = b.nrows();
-        // Deterministic fault injection first, as the host screen does.
-        for &lane in &self.config.sdc_probe_lanes {
-            if lane < b.ncols() {
-                let mut x = b.lane_to_vec(lane);
-                strike(&mut x);
-                b.write_lane(lane, &x);
-            }
-        }
-        let panels = b.panels();
-        let mut states = vec![SdcState::Clean; b.ncols()];
-        let mut trips: Vec<(usize, f64)> = Vec::new();
-        for c in 0..panels.num_chunks() {
-            let lanes = panels.chunk_lanes(c);
-            let xc = panels.chunk(c);
-            let bc = rhs.chunk(c);
-            let mut vx = [0.0f64; LANE_WIDTH];
-            let mut sum_b = [0.0f64; LANE_WIDTH];
-            let mut nx2 = [0.0f64; LANE_WIDTH];
-            let mut finite = [true; LANE_WIDTH];
-            for i in 0..n {
-                let ci = self.colsum[i];
-                let xr = &xc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
-                let br = &bc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
-                for l in 0..LANE_WIDTH {
-                    vx[l] += ci * xr[l];
-                    sum_b[l] += br[l];
-                    nx2[l] += xr[l] * xr[l];
+            let mut finite = [true; W];
+            let (mut vx, mut sum_b, mut nx2) = ([0.0f64; W], [0.0f64; W], [0.0f64; W]);
+            let (mut acc_r, mut acc_b) = ([0.0f64; W], [0.0f64; W]);
+            for i in 0..x.nrows() {
+                let (xr, br) = (row(xc, i), row(bc, i));
+                for l in 0..W {
                     finite[l] &= br[l].is_finite();
                 }
+                if abft {
+                    let ci = self.colsum[i];
+                    for l in 0..W {
+                        vx[l] += ci * xr[l];
+                        sum_b[l] += br[l];
+                        nx2[l] += xr[l] * xr[l];
+                    }
+                }
+                if residuals {
+                    let mut s = [0.0f64; W];
+                    for (col, v) in self.matrix.row(i) {
+                        let xcol = row(xc, col);
+                        for l in 0..W {
+                            s[l] += v * xcol[l];
+                        }
+                    }
+                    for l in 0..W {
+                        let r = br[l] - s[l];
+                        acc_r[l] += r * r;
+                        acc_b[l] += br[l] * br[l];
+                    }
+                }
             }
             for l in 0..lanes {
-                if !finite[l] {
-                    // Poisoned input belongs to the quarantine scan.
-                    continue;
+                out[SCAN_FINITE * W + l] = if finite[l] { 1.0 } else { 0.0 };
+                if abft {
+                    let disc = (vx[l] - sum_b[l]).abs();
+                    let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
+                    out[SCAN_ABFT * W + l] = if scale > 0.0 { disc / scale } else { disc };
                 }
-                let disc = (vx[l] - sum_b[l]).abs();
-                let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
-                let rel = if scale > 0.0 { disc / scale } else { disc };
-                if !rel.is_finite() || rel > DEFAULT_ABFT_TOL {
-                    trips.push((c * LANE_WIDTH + l, rel));
+                if residuals {
+                    let (nr, nb) = (acc_r[l].sqrt(), acc_b[l].sqrt());
+                    out[SCAN_RESIDUAL * W + l] = if nb > 0.0 { nr / nb } else { nr };
                 }
             }
-        }
-        for (lane, disc) in trips {
+        });
+        scan
+    }
+
+    /// ABFT recovery for the lanes the scan tripped: each is re-solved
+    /// once from its pristine right-hand side. A transient upset does not
+    /// recur, so a clean retry replaces the lane ([`SdcState::Corrected`]);
+    /// a retry that trips again is persistent corruption
+    /// ([`SdcState::Tripped`]) and is left for the verdict loop to heal
+    /// or quarantine. Lanes with non-finite input belong to the
+    /// quarantine scan, not to the checksum.
+    fn abft_retries(
+        &self,
+        x: &mut ResidentBatch,
+        rhs: &Pristine<'_>,
+        scan: &InterleavedMatrix,
+    ) -> Vec<SdcState> {
+        let mut states = vec![SdcState::Clean; x.ncols()];
+        for (lane, state) in states.iter_mut().enumerate() {
+            let disc = scan.get(SCAN_ABFT, lane);
+            let tripped = !disc.is_finite() || disc > DEFAULT_ABFT_TOL;
+            if scan.get(SCAN_FINITE, lane) == 0.0 || !tripped {
+                continue;
+            }
             sdc_metrics().detected.inc();
             trace_instant_lane(InstantKind::SdcDetected, lane as u32);
-            let b_lane = lane_from_panels(rhs, lane);
+            let b_lane = rhs.lane(lane);
             let mut y = b_lane.clone();
             self.primary_solve(&mut y);
             if self.config.sdc_probe_persistent && self.config.sdc_probe_lanes.contains(&lane) {
                 strike(&mut y);
             }
             let (retripped, retry_disc) = self.abft_check(&y, &b_lane);
-            states[lane] = if retripped {
+            *state = if retripped {
                 SdcState::Tripped {
                     discrepancy: retry_disc,
                 }
             } else {
-                b.write_lane(lane, &y);
+                x.write_lane(lane, &y);
                 SdcState::Corrected { discrepancy: disc }
             };
         }
@@ -1014,66 +943,21 @@ impl VerifiedBuilder {
         (!rel.is_finite() || rel > DEFAULT_ABFT_TOL, rel)
     }
 
-    /// Screen every lane of the just-solved batch against the build-time
-    /// checksum vector. A tripped lane is re-solved once from its pristine
-    /// right-hand side: a transient upset does not recur, so a clean retry
-    /// replaces the lane ([`SdcState::Corrected`]); a retry that trips
-    /// again is persistent corruption ([`SdcState::Tripped`]) and is left
-    /// for the verifier to heal or quarantine.
-    fn abft_screen(&self, b: &mut Matrix, rhs: &Matrix) -> Vec<SdcState> {
-        (0..b.ncols())
-            .map(|lane| {
-                let mut x = b.col(lane).to_vec();
-                if self.config.sdc_probe_lanes.contains(&lane) {
-                    strike(&mut x);
-                    b.col_mut(lane).copy_from_slice(&x);
-                }
-                let b_lane = rhs.col(lane).to_vec();
-                if b_lane.iter().any(|v| !v.is_finite()) {
-                    // Poisoned input is the quarantine scan's concern,
-                    // not a checksum trip.
-                    return SdcState::Clean;
-                }
-                let (tripped, disc) = self.abft_check(&x, &b_lane);
-                if !tripped {
-                    return SdcState::Clean;
-                }
-                sdc_metrics().detected.inc();
-                trace_instant_lane(InstantKind::SdcDetected, lane as u32);
-                let mut y = b_lane.clone();
-                self.primary_solve(&mut y);
-                if self.config.sdc_probe_persistent && self.config.sdc_probe_lanes.contains(&lane) {
-                    strike(&mut y);
-                }
-                let (retripped, retry_disc) = self.abft_check(&y, &b_lane);
-                if retripped {
-                    SdcState::Tripped {
-                        discrepancy: retry_disc,
-                    }
-                } else {
-                    b.col_mut(lane).copy_from_slice(&y);
-                    SdcState::Corrected { discrepancy: disc }
-                }
-            })
-            .collect()
-    }
-
-    /// Verify one lane whose input is already known finite.
-    fn verify_lane(
+    /// Repair one lane whose input is finite and which is probed or
+    /// failed the residual check (`rr`, measured on `x`): refinement,
+    /// then the ladder, then quarantine. `x` ends up holding the lane's
+    /// new contents (refined, recovered, or zeroed).
+    #[allow(clippy::too_many_arguments)]
+    fn repair_lane(
         &self,
-        b: &mut Matrix,
+        x: &mut [f64],
         lane: usize,
         b_lane: &[f64],
+        rr: f64,
         probed: bool,
         budget: Option<&Budget>,
         degrade: &mut DegradeLog,
     ) -> LaneVerdict {
-        let mut x = b.col(lane).to_vec();
-        let rr = self.relative_residual(&x, b_lane);
-        if !probed && rr.is_finite() && rr <= self.config.residual_tol {
-            return LaneVerdict::Verified { residual: rr };
-        }
-
         let out_of_time = || budget.is_some_and(|bud| bud.exhausted());
 
         // Stage 2: iterative refinement with the primary factors. Under
@@ -1091,12 +975,11 @@ impl VerifiedBuilder {
                 |r| self.primary_solve(r),
                 self.anorm_inf,
                 b_lane,
-                &mut x,
+                x,
                 &self.config.refine,
             );
-            let rr = self.relative_residual(&x, b_lane);
+            let rr = self.relative_residual(x, b_lane);
             if rr.is_finite() && rr <= self.config.residual_tol {
-                b.col_mut(lane).copy_from_slice(&x);
                 return LaneVerdict::Refined {
                     steps: outcome.steps,
                     residual: rr,
@@ -1128,7 +1011,7 @@ impl VerifiedBuilder {
                         }
                         saw_finite = true;
                         if rr <= self.config.residual_tol {
-                            b.col_mut(lane).copy_from_slice(&y);
+                            x.copy_from_slice(&y);
                             return LaneVerdict::Recovered { rung, residual: rr };
                         }
                         // Above tolerance: refine on this rung's factors
@@ -1145,7 +1028,7 @@ impl VerifiedBuilder {
                         );
                         let rr = self.relative_residual(&y, b_lane);
                         if rr.is_finite() && rr <= self.config.residual_tol {
-                            b.col_mut(lane).copy_from_slice(&y);
+                            x.copy_from_slice(&y);
                             return LaneVerdict::Recovered { rung, residual: rr };
                         }
                         if rr.is_finite() {
@@ -1157,7 +1040,7 @@ impl VerifiedBuilder {
             }
         }
 
-        zero_lane(b, lane);
+        x.fill(0.0);
         let reason = if saw_finite {
             QuarantineReason::ResidualAboveTol { residual: best }
         } else {
@@ -1288,15 +1171,49 @@ fn schur_solve_slice(blocks: &SchurBlocks, sparse: bool, lane: &mut [f64]) {
     solve_one_lane(blocks, sparse, &mut b0, &mut b1);
 }
 
-fn zero_lane(b: &mut Matrix, lane: usize) {
-    let n = b.nrows();
-    b.col_mut(lane).copy_from_slice(&vec![0.0; n]);
+/// The budget stage-skip policy: the residual pass runs unless the
+/// budget is already exhausted when verification starts. The input scan
+/// and the ABFT screen share the pass and always run.
+fn residual_pass(budget: Option<&Budget>) -> bool {
+    !budget.is_some_and(Budget::exhausted)
 }
 
-/// Extract one lane of a packed panel set into a contiguous vector.
-fn lane_from_panels(panels: &InterleavedMatrix, lane: usize) -> Vec<f64> {
-    (0..panels.nrows()).map(|i| panels.get(i, lane)).collect()
+/// Where the pipeline reads the pristine right-hand side.
+enum Pristine<'a> {
+    /// The caller's host matrix, untouched until the final unpack.
+    Host(&'a Matrix),
+    /// A panel copy taken before the solve (the resident entry point).
+    Panels(&'a ResidentBatch),
 }
+
+impl Pristine<'_> {
+    /// One lane as a contiguous vector.
+    fn lane(&self, lane: usize) -> Vec<f64> {
+        match self {
+            Pristine::Host(m) => m.col(lane).to_vec(),
+            Pristine::Panels(p) => p.lane_to_vec(lane),
+        }
+    }
+
+    /// Chunk `c` in panel form: borrowed from panels, gathered into
+    /// `buf` from a host matrix.
+    fn chunk<'b>(&'b self, c: usize, buf: &'b mut Vec<f64>) -> &'b [f64] {
+        match self {
+            Pristine::Panels(p) => p.panels().chunk(c),
+            Pristine::Host(m) => {
+                buf.resize(m.nrows() * LANE_WIDTH, 0.0);
+                InterleavedMatrix::gather_chunk(m, c, buf);
+                buf
+            }
+        }
+    }
+}
+
+/// Rows of the per-lane table [`VerifiedBuilder::scan`] returns.
+const SCAN_FINITE: usize = 0;
+const SCAN_ABFT: usize = 1;
+const SCAN_RESIDUAL: usize = 2;
+const SCAN_ROWS: usize = 3;
 
 /// Fold the ABFT screen outcome into a lane's verification verdict: a
 /// tripped lane the verifier could not heal is silent data corruption
@@ -1329,7 +1246,7 @@ fn fold_sdc_verdict(sdc_state: SdcState, verdict: LaneVerdict) -> LaneVerdict {
 }
 
 /// Emit the flight-recorder fault dumps for one batch's screen states and
-/// lane report (shared by the host and resident solve paths).
+/// lane report.
 fn emit_batch_faults(sdc: &[SdcState], report: &LaneReport) {
     if sdc.iter().any(|s| !matches!(s, SdcState::Clean)) {
         fault_dump("sdc_detected", || {
@@ -1387,7 +1304,7 @@ fn strike(x: &mut [f64]) {
 mod tests {
     use super::*;
     use pp_bsplines::{Breaks, PeriodicSplineSpace};
-    use pp_portable::{Layout, Parallel, TestRng};
+    use pp_portable::{Layout, Parallel, Serial, TestRng};
 
     fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
         let breaks = if uniform {
@@ -1949,6 +1866,66 @@ mod tests {
             .verified(VerifyConfig::default());
         let mut bad = ResidentBatch::zeros(17, 2);
         assert!(verified.solve_resident(&Parallel, &mut bad).is_err());
+    }
+
+    #[test]
+    fn exhausted_budget_skips_the_residual_pass_but_keeps_input_scan_and_abft() {
+        let exhausted = Budget::unlimited();
+        exhausted.cancel();
+        let ample = Budget::with_deadline(std::time::Duration::from_secs(600));
+        assert!(!residual_pass(Some(&exhausted)));
+        assert!(residual_pass(Some(&ample)));
+        assert!(residual_pass(None));
+
+        for version in [BuilderVersion::FusedSpmv, BuilderVersion::Interleaved] {
+            let verified = SplineBuilder::new(space(24, 3, true), version)
+                .unwrap()
+                .verified(VerifyConfig {
+                    abft: true,
+                    sdc_probe_lanes: vec![1],
+                    ..VerifyConfig::default()
+                });
+            let mut rhs = random_rhs(24, 11, 59);
+            rhs.set(4, 6, f64::NAN);
+            let mut reference = rhs.clone();
+            let full = verified
+                .solve_in_place_budgeted(&Serial, &mut reference, &ample)
+                .unwrap();
+            let mut x = rhs.clone();
+            let report = verified
+                .solve_in_place_budgeted(&Serial, &mut x, &exhausted)
+                .unwrap();
+
+            // Sampling is reported cut from the first lane, all lanes
+            // counted, exactly as before the panel pipeline.
+            assert_eq!(
+                report.degradations,
+                vec![Degradation::SamplingReduced {
+                    from_lane: 0,
+                    lanes_skipped: 11
+                }],
+                "{version:?}"
+            );
+            // The input scan still quarantines and zeroes the NaN lane.
+            assert_eq!(
+                *report.lanes.verdict(6),
+                LaneVerdict::Quarantined {
+                    reason: QuarantineReason::NonFiniteInput { index: 4 }
+                }
+            );
+            // ABFT still screens and heals the struck lane, with the same
+            // residual the full pipeline measures; the rest is unsampled.
+            assert!(matches!(
+                report.lanes.verdict(1),
+                LaneVerdict::SdcCorrected { .. }
+            ));
+            assert_eq!(report.lanes.verdict(1), full.lanes.verdict(1));
+            for lane in (0..11).filter(|&l| l != 1 && l != 6) {
+                assert_eq!(*report.lanes.verdict(lane), LaneVerdict::Unsampled);
+            }
+            // No lane was rewritten beyond the quarantine.
+            assert_eq!(x.as_slice(), reference.as_slice(), "{version:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! (Listing 1) is built on that. On an [`InterleavedMatrix`] chunk each
 //! row of eight lanes is one contiguous 64-byte panel, so every
 //! recurrence step below is a hand-unrolled `for l in 0..LANE_WIDTH`
-//! loop over one `[f64; 8]` row — the shape LLVM reliably turns into a
-//! single AVX-512 (or two AVX2) vector operations, checked in the phase
-//! profile rather than assumed.
+//! loop over one `[f64; 8]` row, which LLVM vectorises across the row.
+//! The workspace builds for baseline x86-64 with no target flags, so
+//! the vector unit it may use is SSE2 and one row is four two-lane SSE2
+//! operations; `objdump -d` of a release binary shows no `ymm` or `zmm`
+//! instructions. A wider target would widen the same loop without a
+//! source change.
 //!
 //! Each lane of the wide kernels performs the **exact same arithmetic,
 //! in the same order, as the scalar lane kernels** (divisions stay

@@ -14,10 +14,14 @@
 //! ```
 //!
 //! Every recurrence step of a forward/backward sweep then touches one
-//! contiguous `[f64; W]` row — exactly one AVX-512 register (or two AVX2
-//! registers) — and consecutive steps walk memory linearly. Packing and
+//! contiguous `[f64; W]` row and consecutive steps walk memory linearly.
+//! The workspace builds for baseline x86-64 (no `target-cpu` or
+//! `target-feature` flags), so the compiler has SSE2 only and a row is
+//! four two-lane SSE2 operations, not one AVX-512 register. Packing and
 //! unpacking are explicit transpose passes recorded under
-//! [`PhaseId::Transpose`] so the phase profile attributes their cost.
+//! [`PhaseId::Transpose`] so the phase profile attributes their cost;
+//! [`InterleavedMatrix::pack_with`] and
+//! [`InterleavedMatrix::unpack_into_with`] run them chunk-parallel.
 //!
 //! The final chunk of a batch whose width is not a multiple of `W` is
 //! allocated at full width (the padding lanes are zero and never read
@@ -25,13 +29,13 @@
 //! per-lane sweeps for such remainder chunks.
 
 use crate::error::{Error, Result};
-use crate::exec::ExecSpace;
+use crate::exec::{ExecSpace, Serial};
 use crate::instrument::{PhaseId, Span};
 use crate::matrix::Matrix;
 use crate::ptr::SharedMutPtr;
 
-/// Lanes per interleaved chunk: 8 × f64 = one 64-byte cache line and one
-/// AVX-512 vector register.
+/// Lanes per interleaved chunk: 8 × f64 = one 64-byte cache line (four
+/// SSE2 registers on the baseline x86-64 target the workspace builds for).
 pub const LANE_WIDTH: usize = 8;
 
 /// A batch block stored lane-interleaved in chunks of [`LANE_WIDTH`].
@@ -61,8 +65,16 @@ impl InterleavedMatrix {
     /// Pack a [`Matrix`] (either layout) into interleaved storage — the
     /// explicit transpose-in pass, recorded under [`PhaseId::Transpose`].
     pub fn pack(src: &Matrix) -> Self {
+        Self::pack_with(&Serial, src)
+    }
+
+    /// [`InterleavedMatrix::pack`] with the chunks gathered through
+    /// `exec`: each chunk fills its own panel, so the pass runs
+    /// chunk-parallel on [`crate::Parallel`] and is a plain loop on
+    /// [`Serial`].
+    pub fn pack_with<E: ExecSpace>(exec: &E, src: &Matrix) -> Self {
         let mut out = Self::zeros(src.nrows(), src.ncols());
-        out.copy_from_matrix(src, false)
+        out.copy_from_matrix_with(exec, src, false)
             .expect("shapes match by construction");
         out
     }
@@ -84,6 +96,17 @@ impl InterleavedMatrix {
     /// [`InterleavedMatrix::pack_transposed`] orientation). Recorded
     /// under [`PhaseId::Transpose`].
     pub fn copy_from_matrix(&mut self, src: &Matrix, transposed: bool) -> Result<()> {
+        self.copy_from_matrix_with(&Serial, src, transposed)
+    }
+
+    /// The one pack implementation: each chunk gathers its own panel
+    /// through `exec`.
+    fn copy_from_matrix_with<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        src: &Matrix,
+        transposed: bool,
+    ) -> Result<()> {
         let logical = if transposed {
             (src.ncols(), src.nrows())
         } else {
@@ -97,27 +120,32 @@ impl InterleavedMatrix {
             });
         }
         let _span = Span::enter(PhaseId::Transpose);
-        let (rs, cs) = src.strides();
-        // Source strides for logical (row, col) indexing.
-        let (lrs, lcs) = if transposed { (cs, rs) } else { (rs, cs) };
-        let s = src.as_slice();
-        let nrows = self.nrows;
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * nrows * LANE_WIDTH;
-            for i in 0..nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    self.data[row + l] = s[i * lrs + (c * LANE_WIDTH + l) * lcs];
-                }
-            }
-        }
+        self.for_each_chunk_mut(exec, |c, lanes, panel| {
+            gather_panel(src, transposed, c, lanes, panel);
+        });
         Ok(())
+    }
+
+    /// Gather chunk `c` of `src` (logical `(i, j)` = `src(i, j)`) into a
+    /// `[nrows][LANE_WIDTH]` panel buffer — the per-chunk body of
+    /// [`InterleavedMatrix::pack`], for consumers that want one chunk of
+    /// a host matrix in panel form without packing the whole batch.
+    /// Padding lanes of a partial chunk are left as they are.
+    pub fn gather_chunk(src: &Matrix, c: usize, panel: &mut [f64]) {
+        let lanes = LANE_WIDTH.min(src.ncols() - c * LANE_WIDTH);
+        gather_panel(src, false, c, lanes, panel);
     }
 
     /// Unpack into a [`Matrix`] of the same shape (either layout) — the
     /// explicit transpose-out pass, recorded under [`PhaseId::Transpose`].
     pub fn unpack_into(&self, dst: &mut Matrix) -> Result<()> {
+        self.unpack_into_with(&Serial, dst)
+    }
+
+    /// [`InterleavedMatrix::unpack_into`] with the chunks scattered
+    /// through `exec`: each chunk writes its own batch columns, so the
+    /// pass runs chunk-parallel on [`crate::Parallel`].
+    pub fn unpack_into_with<E: ExecSpace>(&self, exec: &E, dst: &mut Matrix) -> Result<()> {
         if dst.shape() != (self.nrows, self.ncols) {
             return Err(Error::ShapeMismatch {
                 op: "InterleavedMatrix::unpack_into",
@@ -125,19 +153,7 @@ impl InterleavedMatrix {
                 right: dst.shape(),
             });
         }
-        let _span = Span::enter(PhaseId::Transpose);
-        let (rs, cs) = dst.strides();
-        let d = dst.as_mut_slice();
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * self.nrows * LANE_WIDTH;
-            for i in 0..self.nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    d[i * rs + (c * LANE_WIDTH + l) * cs] = self.data[row + l];
-                }
-            }
-        }
+        self.scatter(exec, dst, false);
         Ok(())
     }
 
@@ -153,20 +169,37 @@ impl InterleavedMatrix {
                 right: dst.shape(),
             });
         }
+        self.scatter(&Serial, dst, true);
+        Ok(())
+    }
+
+    /// The one unpack implementation: chunk `c` writes logical columns
+    /// `c·W .. c·W + lanes` of `dst` (its transpose when `transposed`).
+    fn scatter<E: ExecSpace>(&self, exec: &E, dst: &mut Matrix, transposed: bool) {
         let _span = Span::enter(PhaseId::Transpose);
         let (rs, cs) = dst.strides();
-        let d = dst.as_mut_slice();
-        for c in 0..self.num_chunks() {
+        let (lrs, lcs) = if transposed { (cs, rs) } else { (rs, cs) };
+        let nrows = self.nrows;
+        let ptr = SharedMutPtr(dst.as_mut_ptr());
+        exec.for_each(self.num_chunks(), |c| {
             let lanes = self.chunk_lanes(c);
-            let base = c * self.nrows * LANE_WIDTH;
-            for i in 0..self.nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    d[(c * LANE_WIDTH + l) * rs + i * cs] = self.data[row + l];
-                }
+            let panel = self.chunk(c);
+            // SAFETY: the shape check of the caller makes every offset
+            // `i·lrs + j·lcs` (i < nrows, j < ncols) an in-bounds element
+            // of `dst`, and the map is injective for both layouts. Chunk
+            // c only writes columns j ∈ [c·W, c·W + lanes), each c is
+            // visited exactly once, so concurrent chunks write disjoint
+            // elements.
+            let put = |i: usize, l: usize| unsafe {
+                *ptr.add(i * lrs + (c * LANE_WIDTH + l) * lcs) = panel[i * LANE_WIDTH + l];
+            };
+            if lrs == 1 {
+                // Lane-contiguous destination: write each column once.
+                (0..lanes).for_each(|l| (0..nrows).for_each(|i| put(i, l)));
+            } else {
+                (0..nrows).for_each(|i| (0..lanes).for_each(|l| put(i, l)));
             }
-        }
-        Ok(())
+        });
     }
 
     /// Logical transpose into another interleaved block (`dst(j, i) =
@@ -301,6 +334,35 @@ impl InterleavedMatrix {
     }
 }
 
+/// Fill chunk `c`'s panel from `src` (its transpose when `transposed`),
+/// live lanes only.
+fn gather_panel(src: &Matrix, transposed: bool, c: usize, lanes: usize, panel: &mut [f64]) {
+    let (rs, cs) = src.strides();
+    // Source strides and row count for logical (row, col) indexing.
+    let (lrs, lcs, nrows) = if transposed {
+        (cs, rs, src.ncols())
+    } else {
+        (rs, cs, src.nrows())
+    };
+    let s = src.as_slice();
+    if lrs == 1 {
+        // Lane-contiguous source: stream each lane's column once.
+        for l in 0..lanes {
+            let col = &s[(c * LANE_WIDTH + l) * lcs..][..nrows];
+            for (i, &v) in col.iter().enumerate() {
+                panel[i * LANE_WIDTH + l] = v;
+            }
+        }
+        return;
+    }
+    for i in 0..nrows {
+        let row = i * LANE_WIDTH;
+        for l in 0..lanes {
+            panel[row + l] = s[i * lrs + (c * LANE_WIDTH + l) * lcs];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +445,44 @@ mod tests {
                 assert_eq!(m.chunk(c)[k], (c * 1000 + k) as f64);
             }
         }
+    }
+
+    #[test]
+    fn parallel_pack_and_unpack_match_serial_bitwise() {
+        let mut rng = TestRng::seed_from_u64(13);
+        for layout in [Layout::Left, Layout::Right] {
+            for (n, batch) in [(3usize, 0usize), (1, 1), (4, 7), (5, 8), (3, 9), (2, 27)] {
+                let src = Matrix::from_fn(n, batch, layout, |_, _| rng.gen_range(-5.0..5.0));
+                let serial = InterleavedMatrix::pack(&src);
+                let parallel = InterleavedMatrix::pack_with(&Parallel, &src);
+                assert_eq!(serial, parallel, "{layout:?} {n}x{batch}");
+                let mut back = Matrix::zeros(n, batch, layout);
+                parallel.unpack_into_with(&Parallel, &mut back).unwrap();
+                assert_eq!(back.as_slice(), src.as_slice(), "{layout:?} {n}x{batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_chunk_matches_the_packed_panel() {
+        let src = Matrix::from_fn(3, 11, Layout::Left, |i, j| (10 * i + j) as f64);
+        let packed = InterleavedMatrix::pack(&src);
+        for c in 0..packed.num_chunks() {
+            let mut panel = vec![0.0; 3 * LANE_WIDTH];
+            InterleavedMatrix::gather_chunk(&src, c, &mut panel);
+            assert_eq!(panel, packed.chunk(c), "chunk {c}");
+        }
+    }
+
+    #[test]
+    fn transposed_pack_and_unpack_round_trip() {
+        let src = Matrix::from_fn(5, 3, Layout::Right, |i, j| (7 * i + j) as f64);
+        let packed = InterleavedMatrix::pack_transposed(&src);
+        assert_eq!(packed.shape(), (3, 5));
+        assert_eq!(packed.get(2, 4), src.get(4, 2));
+        let mut back = Matrix::zeros(5, 3, Layout::Left);
+        packed.unpack_transposed_into(&mut back).unwrap();
+        assert_eq!(back.max_abs_diff(&src), 0.0);
     }
 
     #[test]

@@ -84,6 +84,12 @@ PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --bin chaos_soak -- \
     --smoke --out target/BENCH_chaos_smoke.json
 test -s target/BENCH_chaos_smoke.json
 
+# The benchmark package is its own workspace, so the runs above never
+# build it. Its tests are the checkers' negative controls and the
+# bitwise replay of the library's solve paths (about 2 s in release).
+echo "==> perfbench tests (checker negative controls + bitwise replay)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -8,7 +8,9 @@
 
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
 use pp_iterative::{ChaosBudgetKind, FaultInjector};
-use pp_portable::{parallel_for, Budget, ExecSpace, Layout, Matrix, Parallel, TestRng};
+use pp_portable::{
+    parallel_for, Budget, ExecSpace, Layout, Matrix, Parallel, ResidentBatch, TestRng, LANE_WIDTH,
+};
 use pp_splinesolver::{
     BuilderVersion, Degradation, LaneVerdict, QuarantineReason, SplineBuilder, VerifyConfig,
 };
@@ -246,4 +248,128 @@ fn mid_flight_cancel_is_prompt_and_pool_survives() {
         hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 128);
+}
+
+/// The worker-panic scenario through the resident entry point: the panic
+/// fires in the primary panel solve (chunk 6 of 8), propagates exactly
+/// once, the pool survives, and a follow-up resident solve still
+/// quarantines the poisoned lane.
+#[test]
+fn resident_worker_panic_and_quarantine_in_same_batch_coexist() {
+    let verified = SplineBuilder::new(space(24), BuilderVersion::Interleaved)
+        .expect("builder")
+        .verified(VerifyConfig::default());
+    let mut b = rhs(24, 8 * LANE_WIDTH, 79);
+    b.set(5, 3, f64::NAN); // quarantine candidate
+    let mut rb = ResidentBatch::pack(&b);
+
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        verified.solve_resident(&PanickingExec { panic_lane: 6 }, &mut rb)
+    }));
+    let payload = result.expect_err("worker panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("panic payload is a string");
+    assert!(msg.contains("injected worker panic"), "{msg}");
+
+    let hits = AtomicUsize::new(0);
+    parallel_for(256, |_| {
+        hits.fetch_add(1, Ordering::Relaxed);
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), 256);
+
+    let _ = pp_portable::instrument::take_fault_dumps();
+    let mut rb2 = ResidentBatch::pack(&b);
+    let report = verified
+        .solve_resident(&Parallel, &mut rb2)
+        .expect("clean resident solve after panic");
+    assert_eq!(report.quarantined_lanes(), vec![3]);
+    assert!(matches!(
+        report.verdict(3),
+        LaneVerdict::Quarantined {
+            reason: QuarantineReason::NonFiniteInput { index: 5 }
+        }
+    ));
+    let x = rb2.host();
+    for i in 0..24 {
+        assert_eq!(x.get(i, 3), 0.0, "quarantined lane must be zeroed");
+    }
+    #[cfg(feature = "instrument")]
+    {
+        let dumps = pp_portable::instrument::take_fault_dumps();
+        assert!(
+            dumps.iter().any(|d| d.reason == "verified_quarantine"),
+            "quarantine must still produce its fault dump"
+        );
+    }
+}
+
+/// NaN lanes and SDC strikes through the resident entry point, with the
+/// invariants of the chaos campaign: poisoned inputs are quarantined and
+/// zeroed, transient strikes are corrected back to the reference bits,
+/// persistent strikes are healed or quarantined — never a silent wrong
+/// answer — and every untouched lane keeps the unverified kernel's bits.
+#[test]
+fn resident_nan_and_sdc_strikes_are_contained() {
+    let plain = SplineBuilder::new(space(24), BuilderVersion::Interleaved).expect("builder");
+    let struck = [2usize, 9];
+    for persistent in [false, true] {
+        let verified = SplineBuilder::new(space(24), BuilderVersion::Interleaved)
+            .expect("builder")
+            .verified(VerifyConfig {
+                abft: true,
+                sdc_probe_lanes: struck.to_vec(),
+                sdc_probe_persistent: persistent,
+                ..VerifyConfig::default()
+            });
+        let mut b = rhs(24, 2 * LANE_WIDTH + 3, 211);
+        b.set(5, 3, f64::NAN);
+        let mut reference = b.clone();
+        plain
+            .solve_in_place(&Parallel, &mut reference)
+            .expect("reference solve");
+
+        let mut rb = ResidentBatch::pack(&b);
+        let report = verified
+            .solve_resident(&Parallel, &mut rb)
+            .expect("resident solve");
+        let x = rb.host();
+
+        assert_eq!(
+            report.quarantined_lanes(),
+            vec![3],
+            "persistent {persistent}"
+        );
+        for i in 0..24 {
+            assert_eq!(x.get(i, 3), 0.0, "NaN lane must be zeroed");
+        }
+        for lane in struck {
+            let verdict = report.verdict(lane);
+            if !persistent {
+                assert!(
+                    matches!(verdict, LaneVerdict::SdcCorrected { .. }),
+                    "transient strike on lane {lane}: {verdict}"
+                );
+            }
+            assert!(verdict.is_healthy(), "lane {lane}: {verdict}");
+            for i in 0..24 {
+                let (got, want) = (x.get(i, lane), reference.get(i, lane));
+                if persistent {
+                    assert!((got - want).abs() < 1e-8, "lane {lane} row {i}");
+                } else {
+                    assert_eq!(got.to_bits(), want.to_bits(), "lane {lane} row {i}");
+                }
+            }
+        }
+        for lane in (0..b.ncols()).filter(|l| *l != 3 && !struck.contains(l)) {
+            assert!(
+                matches!(report.verdict(lane), LaneVerdict::Verified { .. }),
+                "lane {lane}: {}",
+                report.verdict(lane)
+            );
+            for i in 0..24 {
+                assert_eq!(x.get(i, lane).to_bits(), reference.get(i, lane).to_bits());
+            }
+        }
+    }
 }
