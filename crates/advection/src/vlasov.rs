@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use crate::error::{Error, Result};
 use crate::semilagrangian::{Advection1D, AdvectionDiagnostics, SplineBackend};
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
-use pp_portable::{transpose_into_with, ExecSpace, Layout, Matrix, ResidentBatch};
+use pp_portable::{transpose_into_with, ExecSpace, Layout, Matrix, ResidentBatch, LANE_WIDTH};
 use pp_splinesolver::{BuilderVersion, CheckpointStore, Snapshot, VerifyConfig};
 
 /// The distribution function held resident in interleaved panels, in
@@ -221,22 +221,42 @@ impl VlasovPoisson1D1V {
     }
 
     /// Charge density `ρ(x_i) = ∫ f dv` (uniform quadrature).
+    ///
+    /// Streams `f` one `v` row at a time into one accumulator per `x`;
+    /// each accumulator starts at `-0.0` and adds in ascending `v`, the
+    /// start value and fold order of `Iterator::sum`, so `ρ` is
+    /// bit-identical to summing each column on its own.
     pub fn density(&self) -> Vec<f64> {
         let (nv, nx) = self.f.shape();
-        (0..nx)
-            .map(|i| (0..nv).map(|j| self.f.get(j, i)).sum::<f64>() * self.dv)
-            .collect()
+        let mut rho = vec![-0.0; nx];
+        for j in 0..nv {
+            for (acc, v) in rho.iter_mut().zip(self.f.row(j).iter()) {
+                *acc += v;
+            }
+        }
+        rho.iter_mut().for_each(|r| *r *= self.dv);
+        rho
     }
 
     /// [`VlasovPoisson1D1V::density`] read panel-natively off the
-    /// resident `(Nx, Nv)` slab. Per-`x` summation runs over lanes in
-    /// ascending order — the same order as the host accumulation, so the
-    /// densities (and hence the field) are bit-identical.
+    /// resident `(Nx, Nv)` slab, streamed panel by panel: one accumulator
+    /// per row `x`, each panel's rows added in lane order. Every row thus
+    /// sums its lanes in ascending `v` from `-0.0`, the same order as the
+    /// host accumulation, so the densities (and hence the field) are
+    /// bit-identical.
     fn density_resident(&self, slab: &ResidentBatch) -> Vec<f64> {
-        let (nx, nv) = (slab.nrows(), slab.ncols());
-        (0..nx)
-            .map(|i| (0..nv).map(|j| slab.get(i, j)).sum::<f64>() * self.dv)
-            .collect()
+        let p = slab.panels();
+        let mut rho = vec![-0.0; p.nrows()];
+        for c in 0..p.num_chunks() {
+            let lanes = p.chunk_lanes(c);
+            for (acc, row) in rho.iter_mut().zip(p.chunk(c).chunks_exact(LANE_WIDTH)) {
+                for &v in &row[..lanes] {
+                    *acc += v;
+                }
+            }
+        }
+        rho.iter_mut().for_each(|r| *r *= self.dv);
+        rho
     }
 
     /// Solve the 1D periodic Poisson problem `∂E/∂x = ⟨ρ⟩ − ρ` (electron
@@ -454,10 +474,14 @@ impl VlasovPoisson1D1V {
         self.poisson_from_density(&rho);
         // Full v-advection in the flipped orientation.
         let disp: Vec<f64> = self.e_field.iter().map(|&e| -e * self.dt).collect();
-        rs.f_xv.transpose_into(&mut rs.f_vx).map_err(flip_err)?;
+        rs.f_xv
+            .transpose_into_with(exec, &mut rs.f_vx)
+            .map_err(flip_err)?;
         self.adv_v
             .step_resident_with_displacements(exec, &mut rs.f_vx, &disp)?;
-        rs.f_vx.transpose_into(&mut rs.f_xv).map_err(flip_err)?;
+        rs.f_vx
+            .transpose_into_with(exec, &mut rs.f_xv)
+            .map_err(flip_err)?;
         // Half x-advection.
         self.adv_x.step_resident(exec, &mut rs.f_xv)?;
         Ok(())
@@ -543,6 +567,44 @@ mod tests {
                 "i = {i}: dE/dx {de} vs {}",
                 mean - rho[i]
             );
+        }
+    }
+
+    /// The column-at-a-time formula the streamed reductions replace.
+    fn density_by_columns(
+        get: impl Fn(usize, usize) -> f64,
+        nx: usize,
+        nv: usize,
+        dv: f64,
+    ) -> Vec<f64> {
+        (0..nx)
+            .map(|i| (0..nv).map(|j| get(i, j)).sum::<f64>() * dv)
+            .collect()
+    }
+
+    #[test]
+    fn streamed_densities_are_bitwise_the_column_sums() {
+        for nv in [13usize, 1024] {
+            let nx = 20;
+            let mut s = VlasovPoisson1D1V::new(nx, nv, 1.0, 4.0, 3, 0.1, |x, v| {
+                (-v * v).exp() * (1.0 + 0.3 * (std::f64::consts::TAU * x).sin()) + 1e-3 * x * v
+            })
+            .unwrap();
+            // A row of negative zeros pins the accumulator's start value.
+            for j in 0..nv {
+                s.f.set(j, 3, -0.0);
+            }
+            let (f, dv) = (s.distribution().clone(), s.dv);
+            let want = density_by_columns(|i, j| f.get(j, i), nx, nv, dv);
+            let slab = ResidentBatch::pack_transposed(&f);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.density()), bits(&want), "host nv {nv}");
+            assert_eq!(
+                bits(&s.density_resident(&slab)),
+                bits(&want),
+                "resident nv {nv}"
+            );
+            assert!(want[3].is_sign_negative() && want[3] == 0.0);
         }
     }
 

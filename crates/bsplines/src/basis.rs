@@ -37,6 +37,52 @@ pub fn eval_nonzero_basis(knots: &[f64], degree: usize, span: usize, x: f64, out
     }
 }
 
+/// Lane-wide [`eval_nonzero_basis`] for degree `D`: `W` independent
+/// points `x[l]`, each in its own knot span `spans[l]`, evaluated
+/// together over `[f64; W]` rows. `out[m][l]` receives
+/// `B_{spans[l]-D+m}(x[l])`, `m in 0..=D`.
+///
+/// Each lane performs exactly the floating-point operations of
+/// [`eval_nonzero_basis`], in the same order, so every lane is
+/// bit-identical to the scalar routine. `D` is a const generic so the
+/// triangular recurrence unrolls; callers pick it with one `match` on
+/// the runtime degree.
+///
+/// # Panics
+/// Panics if a span leaves the knot vector (`spans[l] < D` or
+/// `spans[l] + D >= knots.len()`).
+#[inline(always)]
+pub fn eval_nonzero_basis_lanes<const D: usize, const W: usize>(
+    knots: &[f64],
+    spans: &[usize; W],
+    x: &[f64; W],
+    out: &mut [[f64; W]; MAX_DEGREE_BASIS + 1],
+) {
+    debug_assert!(D <= MAX_DEGREE_BASIS);
+    let mut left = [[0.0_f64; W]; MAX_DEGREE_BASIS + 1];
+    let mut right = [[0.0_f64; W]; MAX_DEGREE_BASIS + 1];
+    for l in 0..W {
+        // The 2·D knots around span `s`: kk[D − 1 + j] = knots[s + j].
+        let kk = &knots[spans[l] + 1 - D..spans[l] + D + 1];
+        for r in 1..=D {
+            left[r][l] = x[l] - kk[D - r];
+            right[r][l] = kk[D - 1 + r] - x[l];
+        }
+    }
+    out[0] = [1.0; W];
+    for r in 1..=D {
+        let mut saved = [0.0_f64; W];
+        for k in 0..r {
+            for l in 0..W {
+                let tmp = out[k][l] / (right[k + 1][l] + left[r - k][l]);
+                out[k][l] = saved[l] + right[k + 1][l] * tmp;
+                saved[l] = left[r - k][l] * tmp;
+            }
+        }
+        out[r] = saved;
+    }
+}
+
 /// Evaluate the first derivatives of the `degree + 1` non-vanishing basis
 /// functions at `x` in span `span`, via the standard degree-reduction
 /// formula `B'_{i,d} = d·(B_{i,d−1}/(τ_{i+d}−τ_i) − B_{i+1,d−1}/(τ_{i+d+1}−τ_{i+1}))`.
@@ -152,6 +198,45 @@ mod tests {
                 let sum: f64 = out[..=degree].iter().sum();
                 assert!((sum - 1.0).abs() < 1e-13, "deg {degree}: {sum}");
             }
+        }
+    }
+
+    /// Runs the lane routine for degree `D` on mixed spans and compares
+    /// every lane's bits with the scalar routine.
+    fn lanes_match_scalar<const D: usize>(knots: &[f64]) {
+        let mut spans = [0usize; 8];
+        let mut x = [0.0; 8];
+        for l in 0..8 {
+            spans[l] = D + (3 * l) % (knots.len() - 2 * D - 1);
+            let (a, b) = (knots[spans[l]], knots[spans[l] + 1]);
+            // Both ends of the span and points strictly inside it.
+            x[l] = a + (b - a) * [0.0, 1.0, 0.5, 0.125, 0.9, 1.0 / 3.0, 0.01, 0.75][l];
+        }
+        let mut out = [[0.0; 8]; MAX_DEGREE_BASIS + 1];
+        eval_nonzero_basis_lanes::<D, 8>(knots, &spans, &x, &mut out);
+        for l in 0..8 {
+            let mut s = [0.0; 6];
+            eval_nonzero_basis(knots, D, spans[l], x[l], &mut s);
+            for m in 0..=D {
+                assert_eq!(
+                    out[m][l].to_bits(),
+                    s[m].to_bits(),
+                    "deg {D} lane {l} m {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_routine_is_bitwise_the_scalar_routine() {
+        let uniform = integer_knots(24);
+        let graded: Vec<f64> = (0..24).map(|i| (i as f64 * 0.37).powf(1.3)).collect();
+        for knots in [&uniform, &graded] {
+            lanes_match_scalar::<1>(knots);
+            lanes_match_scalar::<2>(knots);
+            lanes_match_scalar::<3>(knots);
+            lanes_match_scalar::<4>(knots);
+            lanes_match_scalar::<5>(knots);
         }
     }
 

@@ -39,6 +39,12 @@ pub struct PeriodicSplineSpace {
     ext_knots: Vec<f64>,
     n: usize,
     placement: PointPlacement,
+    /// Domain start `t_0` and period `L`, cached off the breaks for the
+    /// per-point wrap.
+    x0: f64,
+    period: f64,
+    /// `L / n`, the cell width that locates a point on a uniform mesh.
+    h: f64,
 }
 
 impl PeriodicSplineSpace {
@@ -79,6 +85,9 @@ impl PeriodicSplineSpace {
         }
         Ok(Self {
             degree,
+            x0: breaks.x_min(),
+            period: l,
+            h: l / n as f64,
             breaks,
             ext_knots,
             n,
@@ -112,31 +121,70 @@ impl PeriodicSplineSpace {
     }
 
     /// Map `x` into the fundamental period `[x_min, x_max)`.
+    ///
+    /// The result always lies in `[x_min, x_min + L)`: rounding can push
+    /// `x − L·floor((x − x_min)/L)` onto the right edge (mapped to
+    /// `x_min`) or one ulp left of `x_min` (clamped to `x_min`), both of
+    /// which are the same periodic point up to an ulp. Non-finite `x`
+    /// maps to NaN.
     #[inline]
     pub fn wrap(&self, x: f64) -> f64 {
-        let x0 = self.breaks.x_min();
-        let l = self.breaks.period();
-        let mut w = x - l * ((x - x0) / l).floor();
-        // Guard against floating-point landing exactly on the right edge.
-        if w >= x0 + l {
-            w = x0;
+        self.wrap_lanes(&[x])[0]
+    }
+
+    /// [`Self::wrap`] of `W` points. Staged over whole rows so the
+    /// divides run lane-wide around the per-lane `floor` (a libm call on
+    /// the baseline x86-64 target); each lane's operations are the
+    /// scalar ones.
+    #[inline(always)]
+    fn wrap_lanes<const W: usize>(&self, x: &[f64; W]) -> [f64; W] {
+        let (x0, l) = (self.x0, self.period);
+        let mut w: [f64; W] = std::array::from_fn(|k| (x[k] - x0) / l);
+        for v in &mut w {
+            *v = v.floor();
+        }
+        for (v, &xk) in w.iter_mut().zip(x) {
+            *v = xk - l * *v;
+            if *v >= x0 + l || *v < x0 {
+                *v = x0;
+            }
         }
         w
+    }
+
+    /// Wrap `x` once and find the cell of the wrapped point: returns
+    /// `(wrap(x), cell)`. The basis is evaluated at exactly the point
+    /// the cell was located from; wrapping twice is not idempotent at the
+    /// seam and would put the point a period away from its cell.
+    #[inline]
+    fn locate(&self, x: f64) -> (f64, usize) {
+        let (w, c) = self.locate_lanes(&[x]);
+        (w[0], c[0])
+    }
+
+    /// Wrap `W` points once each and find their cells: the wrapped points
+    /// ([`Self::wrap`]) and the cells located from those same values,
+    /// bit-identical lane for lane to one point at a time.
+    #[inline(always)]
+    pub fn locate_lanes<const W: usize>(&self, x: &[f64; W]) -> ([f64; W], [usize; W]) {
+        let w = self.wrap_lanes(x);
+        let last = self.n - 1;
+        let cell = if self.breaks.is_uniform() {
+            std::array::from_fn(|k| (((w[k] - self.x0) / self.h) as usize).min(last))
+        } else {
+            let t = self.breaks.points();
+            std::array::from_fn(|k| {
+                let c = t.partition_point(|&tk| tk <= w[k]);
+                c.saturating_sub(1).min(last)
+            })
+        };
+        (w, cell)
     }
 
     /// Index of the cell containing `wrap(x)`.
     #[inline]
     pub fn cell_of(&self, x: f64) -> usize {
-        let w = self.wrap(x);
-        let t = self.breaks.points();
-        if self.breaks.is_uniform() {
-            let h = self.breaks.period() / self.n as f64;
-            let c = ((w - self.breaks.x_min()) / h) as usize;
-            c.min(self.n - 1)
-        } else {
-            let c = t.partition_point(|&tk| tk <= w);
-            c.saturating_sub(1).min(self.n - 1)
-        }
+        self.locate(x).1
     }
 
     /// Evaluate the `degree + 1` non-vanishing basis functions at `x`.
@@ -145,8 +193,7 @@ impl PeriodicSplineSpace {
     /// periodic basis function with index [`Self::coef_index`]`(c, m)`.
     #[inline]
     pub fn eval_basis(&self, x: f64, out: &mut [f64; MAX_DEGREE + 1]) -> usize {
-        let w = self.wrap(x);
-        let cell = self.cell_of(w);
+        let (w, cell) = self.locate(x);
         let span = cell + self.degree;
         eval_nonzero_basis(&self.ext_knots, self.degree, span, w, out.as_mut_slice());
         cell
@@ -156,17 +203,23 @@ impl PeriodicSplineSpace {
     /// `x`; indexing as in [`Self::eval_basis`].
     #[inline]
     pub fn eval_basis_deriv(&self, x: f64, out: &mut [f64; MAX_DEGREE + 1]) -> usize {
-        let w = self.wrap(x);
-        let cell = self.cell_of(w);
+        let (w, cell) = self.locate(x);
         let span = cell + self.degree;
         eval_nonzero_basis_deriv(&self.ext_knots, self.degree, span, w, out.as_mut_slice());
         cell
     }
 
-    /// Periodic coefficient index of local basis `m` in cell `cell`.
+    /// Periodic coefficient index of local basis `m` in cell `cell`
+    /// (`cell < n`, `m <= degree`): one conditional subtract, no `%`.
     #[inline]
     pub fn coef_index(&self, cell: usize, m: usize) -> usize {
-        (cell + m) % self.n
+        debug_assert!(cell < self.n && m <= self.degree);
+        let k = cell + m;
+        if k >= self.n {
+            k - self.n
+        } else {
+            k
+        }
     }
 
     /// Greville abscissa of periodic basis `k`, wrapped into the domain:
@@ -330,6 +383,70 @@ mod tests {
         assert_eq!(s.cell_of(0.95), 9);
         assert_eq!(s.cell_of(1.0), 0); // wraps
         assert_eq!(s.cell_of(0.999999999), 9);
+    }
+
+    /// The largest float below `x` (`f64::next_down`, which is newer
+    /// than the workspace's minimum Rust).
+    fn next_down(x: f64) -> f64 {
+        if x > 0.0 {
+            f64::from_bits(x.to_bits() - 1)
+        } else if x < 0.0 {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            -f64::from_bits(1)
+        }
+    }
+
+    #[test]
+    fn seam_points_left_of_the_right_edge_stay_continuous() {
+        // One ulp below x0 + L, `(x − x0)/L` rounds to 1.0 and the raw
+        // wrap lands one ulp left of x0; the cell must come from that
+        // same clamped point, not from a second wrap a period away.
+        let v = f64::from_bits(0x4013_ffff_ffff_ffff);
+        assert_eq!(v, 4.999999999999999);
+        for (n, x0, x1, degree) in [(1024, -5.0, 5.0, 3), (64, -1.0, 2.0, 5), (40, -5.0, 5.0, 5)] {
+            let s = PeriodicSplineSpace::new(Breaks::uniform(n, x0, x1).unwrap(), degree).unwrap();
+            let l = s.breaks().period();
+            let c: Vec<f64> = (0..n)
+                .map(|k| 1.4 + 0.3 * (std::f64::consts::TAU * k as f64 / n as f64).sin())
+                .collect();
+            let at_seam = s.eval(&c, x0);
+            // The right edge itself and its images one to three periods
+            // away on either side, each approached from one ulp below.
+            for k in -3..=4 {
+                let edge = x0 + k as f64 * l;
+                for x in [next_down(edge), edge] {
+                    let w = s.wrap(x);
+                    assert!((x0..x0 + l).contains(&w), "wrap({x:e}) = {w:e}");
+                    let y = s.eval(&c, x);
+                    assert!(
+                        (y - at_seam).abs() < 1e-9,
+                        "deg {degree} [{x0}, {x1}): eval({x:e}) = {y:e}, eval(x0) = {at_seam:e}"
+                    );
+                }
+            }
+        }
+        let s = PeriodicSplineSpace::new(Breaks::uniform(1024, -5.0, 5.0).unwrap(), 3).unwrap();
+        let c = vec![1.46; 1024];
+        assert!((s.eval(&c, v) - 1.46).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_points_evaluate_to_nan() {
+        for (x0, x1) in [(0.0, 1.0), (-5.0, 5.0)] {
+            for breaks in [
+                Breaks::uniform(20, x0, x1).unwrap(),
+                Breaks::graded(20, x0, x1, 0.5).unwrap(),
+            ] {
+                for degree in 1..=5 {
+                    let s = PeriodicSplineSpace::new(breaks.clone(), degree).unwrap();
+                    let c = vec![1.0; 20];
+                    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                        assert!(s.eval(&c, x).is_nan(), "deg {degree}: eval({x}) is finite");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,77 @@
 //! semi-Lagrangian step evaluates every lane's spline at that lane's
 //! characteristic feet (Algorithm 2, line 8). The evaluation is
 //! embarrassingly parallel over lanes, like the build.
+//!
+//! Both entry points run one lane-wide kernel: lanes go in groups of
+//! [`LANE_WIDTH`] (one interleaved panel, or eight host columns), and
+//! each row of a group wraps and locates its eight feet once, runs
+//! Cox–de Boor over `[f64; 8]` rows, gathers the coefficients by a
+//! conditional-subtract periodic index and hands back eight results.
+//! Every lane performs exactly the floating-point operations of the
+//! scalar [`PeriodicSplineSpace::eval`], in the same order, so the
+//! output is bit-identical to it lane for lane. A group narrower than
+//! eight (the partial last panel) pads its dead lanes with the last live
+//! lane's column and never stores their results.
 
 use crate::error::{Error, Result};
+use pp_bsplines::basis::eval_nonzero_basis_lanes;
 use pp_bsplines::{PeriodicSplineSpace, MAX_DEGREE};
-use pp_portable::{ExecSpace, Matrix, ResidentBatch, LANE_WIDTH};
+use pp_portable::{for_each_lane_block_mut, ExecSpace, Matrix, ResidentBatch, LANE_WIDTH};
+
+/// Evaluate the lane group `col0 .. col0 + lanes` of `positions` row by
+/// row. `coef(k, l)` reads periodic coefficient `k` of group lane `l`
+/// (`l < LANE_WIDTH`, dead lanes included); `store(i, row)` receives the
+/// eight results of row `i`, of which the first `lanes` are live.
+fn eval_group(
+    space: &PeriodicSplineSpace,
+    positions: &Matrix,
+    col0: usize,
+    lanes: usize,
+    coef: impl Fn(usize, usize) -> f64,
+    store: impl FnMut(usize, &[f64; LANE_WIDTH]),
+) {
+    let (p, c, s) = (positions, coef, store);
+    match space.degree() {
+        1 => eval_rows::<1>(space, p, col0, lanes, c, s),
+        2 => eval_rows::<2>(space, p, col0, lanes, c, s),
+        3 => eval_rows::<3>(space, p, col0, lanes, c, s),
+        4 => eval_rows::<4>(space, p, col0, lanes, c, s),
+        5 => eval_rows::<5>(space, p, col0, lanes, c, s),
+        d => unreachable!("PeriodicSplineSpace rejects degree {d}"),
+    }
+}
+
+/// [`eval_group`] for degree `D`: per row, wrap and locate the eight feet
+/// once, run the lane-wide Cox–de Boor recurrence at the wrapped points
+/// and sum the basis values against the coefficients.
+#[inline(always)]
+fn eval_rows<const D: usize>(
+    space: &PeriodicSplineSpace,
+    positions: &Matrix,
+    col0: usize,
+    lanes: usize,
+    coef: impl Fn(usize, usize) -> f64,
+    mut store: impl FnMut(usize, &[f64; LANE_WIDTH]),
+) {
+    let knots = space.ext_knots();
+    let (prs, pcs) = positions.strides();
+    let p = positions.as_slice();
+    // Dead lanes replay the last live lane's feet.
+    let pcol: [usize; LANE_WIDTH] = std::array::from_fn(|l| (col0 + l.min(lanes - 1)) * pcs);
+    for i in 0..positions.nrows() {
+        let x = std::array::from_fn(|l| p[i * prs + pcol[l]]);
+        let (w, cell) = space.locate_lanes(&x);
+        let mut vals = [[0.0; LANE_WIDTH]; MAX_DEGREE + 1];
+        eval_nonzero_basis_lanes::<D, LANE_WIDTH>(knots, &cell.map(|c| c + D), &w, &mut vals);
+        let mut s = [0.0; LANE_WIDTH];
+        for m in 0..=D {
+            for l in 0..LANE_WIDTH {
+                s[l] += vals[m][l] * coef(space.coef_index(cell[l], m), l);
+            }
+        }
+        store(i, &s);
+    }
+}
 
 /// Evaluates batched splines over a shared [`PeriodicSplineSpace`].
 #[derive(Debug, Clone)]
@@ -28,6 +95,9 @@ impl SplineEvaluator {
 
     /// Evaluate lane `j`'s spline (column `j` of `coefs`) at each position
     /// in column `j` of `positions`, writing into column `j` of `out`.
+    /// Columns go through the lane-wide kernel in groups of
+    /// [`LANE_WIDTH`]; each output is bit-identical to
+    /// [`PeriodicSplineSpace::eval`] of its lane.
     ///
     /// Shapes: `coefs (n, batch)`, `positions (m, batch)`,
     /// `out (m, batch)`.
@@ -52,19 +122,18 @@ impl SplineEvaluator {
             });
         }
         let space = &self.space;
-        let degree = space.degree();
-        let m = positions.nrows();
-        exec.for_each_lane_mut(out, |j, mut out_lane| {
-            let mut vals = [0.0; MAX_DEGREE + 1];
-            for i in 0..m {
-                let x = positions.get(i, j);
-                let cell = space.eval_basis(x, &mut vals);
-                let mut s = 0.0;
-                for (mm, &v) in vals.iter().enumerate().take(degree + 1) {
-                    s += v * coefs.get(space.coef_index(cell, mm), j);
+        let (crs, ccs) = coefs.strides();
+        let c = coefs.as_slice();
+        for_each_lane_block_mut(exec, out, LANE_WIDTH, |col0, mut block| {
+            let lanes = block.ncols();
+            let ccol: [usize; LANE_WIDTH] =
+                std::array::from_fn(|l| (col0 + l.min(lanes - 1)) * ccs);
+            let coef = |k: usize, l: usize| c[k * crs + ccol[l]];
+            eval_group(space, positions, col0, lanes, coef, |i, s| {
+                for (l, &v) in s.iter().enumerate().take(lanes) {
+                    block.set(i, l, v);
                 }
-                out_lane[i] = s;
-            }
+            });
         });
         Ok(())
     }
@@ -72,8 +141,9 @@ impl SplineEvaluator {
     /// Resident variant of [`SplineEvaluator::eval_batched`]: coefficients
     /// are read straight out of the packed panels and results are written
     /// straight into the output batch's panels — no pack/unpack transpose
-    /// on either side. Per-lane arithmetic is identical to the host path,
-    /// so results are bit-identical lane for lane.
+    /// on either side. Each panel runs the lane-wide kernel one row at a
+    /// time, eight lanes per step, with one store per row; results are
+    /// bit-identical to the host path lane for lane. Allocates nothing.
     ///
     /// Shapes: `coefs (n, batch)`, `positions (m, batch)`,
     /// `out (m, batch)`. Bumps `out`'s generation.
@@ -101,24 +171,13 @@ impl SplineEvaluator {
             });
         }
         let space = &self.space;
-        let degree = space.degree();
-        let m = positions.nrows();
         let cpanels = coefs.panels();
         out.for_each_chunk_mut(exec, |c, lanes, chunk| {
             let cc = cpanels.chunk(c);
-            let mut vals = [0.0; MAX_DEGREE + 1];
-            for l in 0..lanes {
-                let j = c * LANE_WIDTH + l;
-                for i in 0..m {
-                    let x = positions.get(i, j);
-                    let cell = space.eval_basis(x, &mut vals);
-                    let mut s = 0.0;
-                    for (mm, &v) in vals.iter().enumerate().take(degree + 1) {
-                        s += v * cc[space.coef_index(cell, mm) * LANE_WIDTH + l];
-                    }
-                    chunk[i * LANE_WIDTH + l] = s;
-                }
-            }
+            let coef = |k: usize, l: usize| cc[k * LANE_WIDTH + l];
+            eval_group(space, positions, c * LANE_WIDTH, lanes, coef, |i, s| {
+                chunk[i * LANE_WIDTH..][..lanes].copy_from_slice(&s[..lanes]);
+            });
         });
         Ok(())
     }

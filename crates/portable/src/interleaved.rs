@@ -207,8 +207,22 @@ impl InterleavedMatrix {
     /// pass a resident pipeline still needs when the batch dimension
     /// itself flips (e.g. x- vs. v-advection of a phase-space slab).
     /// One pass, panel to panel, never touching a host [`Matrix`];
-    /// recorded under [`PhaseId::Transpose`].
+    /// recorded under [`PhaseId::Transpose`]. Serial; see
+    /// [`InterleavedMatrix::transpose_into_with`].
     pub fn transpose_into(&self, dst: &mut InterleavedMatrix) -> Result<()> {
+        self.transpose_into_with(&Serial, dst)
+    }
+
+    /// [`InterleavedMatrix::transpose_into`] with the destination panels
+    /// filled through `exec`: destination chunk `d` holds source rows
+    /// `d·W ..`, so it is assembled from one `W × W` tile transpose per
+    /// source chunk and each panel is one chunk task. Live lanes only;
+    /// padding lanes of `dst` are left as they are.
+    pub fn transpose_into_with<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut InterleavedMatrix,
+    ) -> Result<()> {
         if dst.shape() != (self.ncols, self.nrows) {
             return Err(Error::ShapeMismatch {
                 op: "InterleavedMatrix::transpose_into",
@@ -217,17 +231,21 @@ impl InterleavedMatrix {
             });
         }
         let _span = Span::enter(PhaseId::Transpose);
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * self.nrows * LANE_WIDTH;
-            for i in 0..self.nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    let off = dst.offset(c * LANE_WIDTH + l, i);
-                    dst.data[off] = self.data[row + l];
+        const TILE: usize = LANE_WIDTH * LANE_WIDTH;
+        dst.for_each_chunk_mut(exec, |d, dst_lanes, panel| {
+            for c in 0..self.num_chunks() {
+                let src_lanes = self.chunk_lanes(c);
+                // Source rows d·W .. d·W + dst_lanes of chunk c, and the
+                // destination rows c·W .. c·W + src_lanes they land in.
+                let tile = &self.chunk(c)[d * TILE..][..dst_lanes * LANE_WIDTH];
+                let out = &mut panel[c * TILE..][..src_lanes * LANE_WIDTH];
+                for (la, row) in out.chunks_exact_mut(LANE_WIDTH).enumerate() {
+                    for (lb, v) in row[..dst_lanes].iter_mut().enumerate() {
+                        *v = tile[lb * LANE_WIDTH + la];
+                    }
                 }
             }
-        }
+        });
         Ok(())
     }
 
@@ -483,6 +501,45 @@ mod tests {
         let mut back = Matrix::zeros(5, 3, Layout::Left);
         packed.unpack_transposed_into(&mut back).unwrap();
         assert_eq!(back.max_abs_diff(&src), 0.0);
+    }
+
+    /// The tile-by-tile flip, written out element by element.
+    fn transpose_reference(src: &InterleavedMatrix) -> InterleavedMatrix {
+        let mut t = InterleavedMatrix::zeros(src.ncols(), src.nrows());
+        for i in 0..src.nrows() {
+            for j in 0..src.ncols() {
+                t.set(j, i, src.get(i, j));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn parallel_transpose_matches_serial_bitwise() {
+        // The paper-size flip is far too slow under Miri; the small
+        // shapes still cover partial panels on both sides.
+        let shapes: &[(usize, usize)] = if cfg!(miri) {
+            &[(1, 1), (13, 21), (64, 9)]
+        } else {
+            &[(1, 1), (13, 21), (64, 9), (1024, 1024)]
+        };
+        let mut rng = TestRng::seed_from_u64(17);
+        for &(n, batch) in shapes {
+            let src = Matrix::from_fn(n, batch, Layout::Left, |_, _| rng.gen_range(-5.0..5.0));
+            let packed = InterleavedMatrix::pack(&src);
+            let mut serial = InterleavedMatrix::zeros(batch, n);
+            let mut parallel = InterleavedMatrix::zeros(batch, n);
+            packed.transpose_into(&mut serial).unwrap();
+            packed
+                .transpose_into_with(&Parallel, &mut parallel)
+                .unwrap();
+            assert_eq!(serial.data, parallel.data, "{n}x{batch}");
+            assert_eq!(serial, transpose_reference(&packed), "{n}x{batch}");
+        }
+        let mut wrong = InterleavedMatrix::zeros(3, 4);
+        assert!(InterleavedMatrix::zeros(3, 4)
+            .transpose_into_with(&Parallel, &mut wrong)
+            .is_err());
     }
 
     #[test]

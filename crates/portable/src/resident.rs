@@ -21,7 +21,7 @@
 //! stale packed data after a lane was repaired or zeroed.
 
 use crate::error::{Error, Result};
-use crate::exec::ExecSpace;
+use crate::exec::{ExecSpace, Serial};
 use crate::interleaved::InterleavedMatrix;
 use crate::layout::Layout;
 use crate::matrix::Matrix;
@@ -230,10 +230,22 @@ impl ResidentBatch {
     }
 
     /// Reorient into another resident batch (`dst` logical `(ncols,
-    /// nrows)`), panel to panel. Bumps `dst`'s generation.
+    /// nrows)`), panel to panel. Serial; bumps `dst`'s generation.
     pub fn transpose_into(&self, dst: &mut ResidentBatch) -> Result<()> {
+        self.transpose_into_with(&Serial, dst)
+    }
+
+    /// [`ResidentBatch::transpose_into`] with one chunk task per
+    /// destination panel through `exec`
+    /// ([`InterleavedMatrix::transpose_into_with`]). Bumps `dst`'s
+    /// generation.
+    pub fn transpose_into_with<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut ResidentBatch,
+    ) -> Result<()> {
         dst.bump();
-        self.panels.transpose_into(&mut dst.panels)
+        self.panels.transpose_into_with(exec, &mut dst.panels)
     }
 
     /// `true` when the cached host mirror (of either orientation) still
@@ -310,7 +322,7 @@ impl ResidentBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Serial;
+    use crate::exec::Parallel;
     use crate::testrng::TestRng;
 
     fn random(n: usize, batch: usize, seed: u64, layout: Layout) -> Matrix {
@@ -425,6 +437,30 @@ mod tests {
         // Shape mismatch is typed, not a panic.
         let mut wrong = ResidentBatch::zeros(5, 13);
         assert!(r.transpose_into(&mut wrong).is_err());
+    }
+
+    #[test]
+    fn parallel_panel_transpose_matches_serial_bitwise() {
+        // The paper-size flip is far too slow under Miri.
+        let shapes: &[(usize, usize)] = if cfg!(miri) {
+            &[(1, 1), (13, 21), (64, 9)]
+        } else {
+            &[(1, 1), (13, 21), (64, 9), (1024, 1024)]
+        };
+        for &(n, batch) in shapes {
+            let r = ResidentBatch::pack(&random(n, batch, 23, Layout::Left));
+            let mut serial = ResidentBatch::zeros(batch, n);
+            let mut parallel = ResidentBatch::zeros(batch, n);
+            r.transpose_into(&mut serial).unwrap();
+            let g = parallel.generation();
+            r.transpose_into_with(&Parallel, &mut parallel).unwrap();
+            assert!(parallel.generation() > g, "the flip writes dst");
+            assert_eq!(serial.panels(), parallel.panels(), "{n}x{batch}");
+        }
+        let mut wrong = ResidentBatch::zeros(5, 13);
+        assert!(ResidentBatch::zeros(5, 13)
+            .transpose_into_with(&Parallel, &mut wrong)
+            .is_err());
     }
 
     #[test]
